@@ -21,21 +21,24 @@ class CreditBook:
         if depth < 1:
             raise ValueError("buffer depth must be at least one flit")
         self._depth = depth
-        self._credits: dict[Direction, list[int]] = {
-            port: [depth] * num_vcs for port in ports
-        }
+        self._ports = list(ports)
+        # Indexed by the Direction value; ``None`` for ports not listed.
+        self._credits: list[list[int] | None] = [None] * len(Direction)
+        for port in ports:
+            self._credits[port] = [depth] * num_vcs
 
     @property
     def depth(self) -> int:
         return self._depth
 
     @property
-    def levels(self) -> dict[Direction, list[int]]:
-        """The live per-port credit counter lists (shared, not a copy).
+    def levels(self) -> list[list[int] | None]:
+        """The live credit counter lists (shared, not a copy), indexed by
+        the ``Direction`` value, ``None`` for ports the book does not cover.
 
-        Exposed for hot-path reads — the router's switch allocator checks
-        downstream space once per candidate per cycle.  Callers must not
-        mutate the counters; use :meth:`consume` / :meth:`release`.
+        The router pipeline and the network's credit return read and update
+        these lists in place on the per-flit hot path, with the same
+        underflow/overflow checks as :meth:`consume` / :meth:`release`.
         """
         return self._credits
 
@@ -63,4 +66,4 @@ class CreditBook:
         self._credits[port][vc] += 1
 
     def ports(self) -> list[Direction]:
-        return list(self._credits)
+        return list(self._ports)

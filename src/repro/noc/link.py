@@ -8,7 +8,7 @@ and the congestion features observed by the RL controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.noc.topology import Direction
 
@@ -21,23 +21,15 @@ class Link:
     direction: Direction
     dst: int
     traversals: int = 0
-    _window_traversals: int = field(default=0, repr=False)
 
     def record_traversal(self, flits: int = 1) -> None:
         self.traversals += flits
-        self._window_traversals += flits
 
     def utilization(self, cycles: int) -> float:
         """Lifetime utilisation: flits carried per cycle (0..1 for 1-flit links)."""
         if cycles <= 0:
             return 0.0
         return self.traversals / cycles
-
-    def drain_window(self) -> int:
-        """Return and reset the traversal count since the last drain."""
-        count = self._window_traversals
-        self._window_traversals = 0
-        return count
 
     @property
     def key(self) -> tuple[int, int]:

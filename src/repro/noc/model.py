@@ -178,14 +178,18 @@ class NoCModel:
                 routing=routing,
                 selection=config.selection,
                 operating_point=initial_point,
+                power=self.power,
                 rng=random.Random(config.seed * 100_003 + node),
             )
 
         self.links: dict[tuple[int, int], Link] = {}
         self._neighbor_of: dict[tuple[int, Direction], int] = {}
-        for src, direction, dst in self.topology.links():
+        topology_links = self.topology.links()
+        for src, direction, dst in topology_links:
             self.links[(src, dst)] = Link(src=src, direction=direction, dst=dst)
             self._neighbor_of[(src, direction)] = dst
+        for src, direction, dst in topology_links:
+            self.routers[src].connect(direction, self.routers[dst], self.links[(src, dst)])
 
         self._source_queues: dict[int, deque[Flit]] = {
             node: deque() for node in self.topology.nodes()
@@ -366,13 +370,15 @@ class NoCModel:
         source_queues = self._source_queues
         routers = self.routers
         ni_active_vc = self._ni_active_vc
+        energy = self.power.energy
+        depth = self.config.buffer_depth
         local = Direction.LOCAL
         for node in nodes:
             queue = source_queues[node]
             if not queue:
                 continue
             router = routers[node]
-            if cycle % router.operating_point.divider:
+            if cycle % router.divider:
                 continue
             flit = queue[0]
             vc = ni_active_vc[node]
@@ -385,8 +391,7 @@ class NoCModel:
                 self.stats.record_packet_injected(flit.packet.size)
             if vc is None:
                 raise RuntimeError(f"NI at node {node} lost its VC assignment")
-            ivc = router.inputs[local][vc]
-            if len(ivc.buffer) >= ivc.depth:
+            if len(router.buffers[router.slot(local, vc)]) >= depth:
                 continue
             queue.popleft()
             self._queued_total -= 1
@@ -395,26 +400,31 @@ class NoCModel:
             router.receive_flit(local, vc, flit)
             self._buffered_total += 1
             self._active_routers.add(node)
-            self.power.record_buffer_write(router.operating_point)
+            energy.buffer_pj += router.write_pj
             if flit.is_tail:
                 ni_active_vc[node] = None
 
     def step_routers(self, cycle: int) -> list[Movement]:
+        """Run one cycle of every clock-active router that holds flits, in
+        ascending node order; return the flit movements they produce.
+
+        Both loops run the same :meth:`Router.step_into`: the tracked one
+        visits only the active-router set, the naive one (the reference
+        for the equivalence tests) scans every router.
+        """
         movements: list[Movement] = []
         if not self.activity_tracking:
             for router in self.routers.values():
-                movements.extend(router.step(cycle, self.power))
+                if router.buffered_flits and not cycle % router.divider:
+                    router.step_into(cycle, movements)
             return movements
         routers = self.routers
-        power = self.power
         stepped = 0
         for node in sorted(self._active_routers):
             router = routers[node]
-            if cycle % router.operating_point.divider:
+            if cycle % router.divider:
                 continue  # DVFS clock divider gates this cycle entirely.
-            # Active set membership guarantees buffered flits, and the
-            # divider was just checked, so enter the pipeline directly.
-            router.step_into(cycle, power, movements)
+            router.step_into(cycle, movements)
             stepped += 1
         self.skipped_router_steps += len(routers) - stepped
         return movements
@@ -423,32 +433,37 @@ class NoCModel:
         """Deliver one cycle's flit movements: return credits upstream, then
         eject at the local NI or forward into the downstream input buffer.
 
-        One fused per-movement loop (this is the per-flit hot path); the
-        activity sets and flit totals are maintained inline.  ``cycle`` is
-        the cycle the movements happened on (it stamps packet arrivals).
+        One fused per-movement loop (this is the per-flit hot path): the
+        credit return and the buffer write are inlined on the routers' flat
+        state, with the same overflow checks as :meth:`CreditBook.release`
+        and :meth:`Router.receive_flit`, and the activity sets and flit
+        totals are maintained inline.  Buffer-write energy is added in
+        movement order.  ``cycle`` is the cycle the movements happened on
+        (it stamps packet arrivals).
         """
         if not movements:
             return
         active = self._active_routers
         routers = self.routers
-        neighbor_of = self._neighbor_of
-        links = self.links
         stats = self.stats
-        power = self.power
+        energy = self.power.energy
+        depth = self.config.buffer_depth
         local = Direction.LOCAL
         sources = set()
-        for movement in movements:
-            src_node = movement.src_node
-            in_port = movement.in_port
+        for flit, src_node, in_port, in_vc, out_port, out_vc, dst_node in movements:
             sources.add(src_node)
+            source = routers[src_node]
             if in_port is not local:
                 # Credit return: the movement freed one slot in the input
                 # buffer it left, so the upstream router on that port gets
                 # its credit back.
-                upstream = neighbor_of[(src_node, in_port)]
-                routers[upstream].release_credit(in_port.opposite, movement.in_vc)
-            flit = movement.flit
-            if movement.out_port is local:
+                levels = source.upstream_credits[in_port]
+                if levels[in_vc] >= depth:
+                    raise RuntimeError(
+                        f"credit overflow on port {in_port.opposite.name} vc {in_vc}"
+                    )
+                levels[in_vc] += 1
+            if dst_node is None:
                 # Ejection at the destination NI.
                 stats.flits_delivered += 1
                 if flit.is_tail:
@@ -460,11 +475,20 @@ class NoCModel:
                 self._buffered_total -= 1
             else:
                 # Link traversal into the downstream router's input buffer.
-                dst_node = movement.dst_node
                 destination = routers[dst_node]
-                destination.receive_flit(movement.out_port.opposite, movement.out_vc, flit)
-                power.record_buffer_write(destination.operating_point)
-                links[(src_node, dst_node)].record_traversal()
+                slot = source.downstream_slot[out_port] + out_vc
+                buffer = destination.buffers[slot]
+                if len(buffer) >= depth:
+                    raise RuntimeError(
+                        f"buffer overflow at node {dst_node} "
+                        f"port {out_port.opposite.name} vc {out_vc}"
+                    )
+                if not buffer:
+                    destination.occupied.add(slot)
+                buffer.append(flit)
+                destination.buffered_flits += 1
+                energy.buffer_pj += destination.write_pj
+                source.out_links[out_port].traversals += 1
                 stats.link_flit_traversals += 1
                 if flit.is_head:
                     flit.packet.hops += 1
@@ -584,7 +608,7 @@ class NoCModel:
             for candidate in candidates:
                 if candidate is Direction.LOCAL:
                     continue  # only valid once current == dst
-                if candidate in router.blocked_ports:
+                if router.port_blocked[candidate]:
                     continue
                 if (current, candidate) not in neighbor_of:
                     continue

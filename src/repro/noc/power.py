@@ -99,23 +99,11 @@ class PowerModel:
 
     parameters: PowerParameters = field(default_factory=PowerParameters)
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
-    # The dynamic scale is a pure function of the (frozen) operating point
-    # and the (frozen) parameters, so the last computation is memoized by
-    # point identity — the ``** 2`` sits on the per-flit-event hot path and
-    # consecutive events overwhelmingly share one operating point.  Excluded
-    # from equality/repr: the memo is an implementation detail, not state.
-    _scale_point: OperatingPoint | None = field(default=None, compare=False, repr=False)
-    _scale_value: float = field(default=0.0, compare=False, repr=False)
 
     # -- scaling helpers ---------------------------------------------------
 
     def _dynamic_scale(self, point: OperatingPoint) -> float:
-        if point is self._scale_point:
-            return self._scale_value
-        scale = (point.voltage / self.parameters.nominal_voltage) ** 2
-        self._scale_point = point
-        self._scale_value = scale
-        return scale
+        return (point.voltage / self.parameters.nominal_voltage) ** 2
 
     def _static_scale(self, point: OperatingPoint) -> float:
         return point.voltage / self.parameters.nominal_voltage
@@ -140,18 +128,22 @@ class PowerModel:
     def record_link_traversal(self, point: OperatingPoint, flits: int = 1) -> None:
         self.energy.link_pj += self.parameters.link_pj * flits * self._dynamic_scale(point)
 
-    def record_flit_traversal(self, point: OperatingPoint, link: bool) -> None:
-        """One switch traversal: buffer read + crossbar, plus the link when the
-        flit leaves the router.  Fused so the hot path pays a single call and
-        scale lookup; adds the exact floats the individual ``record_*`` calls
-        would add, to their separate accumulators."""
+    def flit_energies(self, point: OperatingPoint) -> tuple[float, float, float, float]:
+        """Per-flit ``(buffer read, crossbar, link, buffer write)`` energies
+        at ``point``: the exact floats one ``record_*`` call adds.
+
+        The router pipeline adds these precomputed values on its hot path
+        (refreshed on every operating-point change) instead of calling the
+        ``record_*`` methods per flit; the accumulation stays bit-identical.
+        """
         scale = self._dynamic_scale(point)
         parameters = self.parameters
-        energy = self.energy
-        energy.buffer_pj += parameters.buffer_read_pj * scale
-        energy.crossbar_pj += parameters.crossbar_pj * scale
-        if link:
-            energy.link_pj += parameters.link_pj * scale
+        return (
+            parameters.buffer_read_pj * scale,
+            parameters.crossbar_pj * scale,
+            parameters.link_pj * scale,
+            parameters.buffer_write_pj * scale,
+        )
 
     # -- leakage ---------------------------------------------------------------
 

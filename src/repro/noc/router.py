@@ -18,70 +18,60 @@ single simulator cycle:
 
 DVFS is modelled with a clock divider: a router at divider ``d`` only runs
 the pipeline on cycles where ``cycle % d == 0``.
+
+State layout
+------------
+The router keeps its state in flat lists of ints and flits, not in
+per-VC objects, so that a flit hop costs a few list operations.
+
+* Per input VC, indexed by *slot*: VC ``v`` of input port ``i`` of
+  :attr:`Router.input_ports` (``[LOCAL]`` then the neighbour ports in
+  ascending :class:`Direction` order) is slot ``i * num_vcs + v``.  Slot
+  order is the static scan order that VC allocation and switch
+  arbitration follow.
+
+  - ``buffers[slot]``: the flit FIFO;
+  - ``route[slot]``: the output port the packet at the front was routed
+    to, or ``None`` while route computation is pending (the VC is idle);
+  - ``out_vc[slot]``: the output VC allocated to that packet (``0`` when
+    it is ejected at ``LOCAL``), or ``-1`` while VC allocation is pending;
+  - ``occupied``: the set of slots whose buffers hold flits.
+
+* Per output port, indexed by the ``Direction`` value (``LOCAL == 0``):
+
+  - ``credits.levels[port][vc]``: free slots in the downstream buffer;
+  - ``vc_held[port][vc]``: whether a packet holds that output VC;
+  - ``rr_pointer[port]``: the port's round-robin switch arbiter, as the
+    slot its next search starts from;
+  - ``port_blocked[port]``: the outgoing link has failed;
+  - ``out_links``, ``downstream_slot``, ``upstream_credits``: wiring to
+    the neighbours, filled in by :meth:`Router.connect`.
+
+A *movement* is a plain tuple
+``(flit, src_node, in_port, in_vc, out_port, out_vc, dst_node)``.
+``dst_node`` is ``None`` for an ejection at the local NI.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
-from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.dvfs import OperatingPoint
 from repro.noc.flow_control import CreditBook
+from repro.noc.link import Link
 from repro.noc.packet import Flit
 from repro.noc.power import PowerModel
 from repro.noc.routing import RoutingAlgorithm, SelectionPolicy
-from repro.noc.topology import CARDINAL_DIRECTIONS, Direction, Mesh
+from repro.noc.topology import Direction, Mesh
 
+#: ``(flit, src_node, in_port, in_vc, out_port, out_vc, dst_node)``: one
+#: flit leaving a router in one cycle, for the network to apply.
+Movement = tuple[Flit, int, Direction, int, Direction, int, "int | None"]
 
-class VCState(Enum):
-    """State machine of an input virtual channel."""
-
-    IDLE = "idle"
-    ROUTED = "routed"
-    ACTIVE = "active"
-
-
-@dataclass(slots=True)
-class Movement:
-    """A flit leaving a router during one cycle, to be applied by the network."""
-
-    flit: Flit
-    src_node: int
-    in_port: Direction
-    in_vc: int
-    out_port: Direction
-    out_vc: int | None
-    dst_node: int | None
-
-
-class InputVirtualChannel:
-    """One input virtual channel: a flit FIFO plus routing/allocation state."""
-
-    __slots__ = ("buffer", "state", "out_port", "out_vc", "depth")
-
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-        self.buffer: deque[Flit] = deque()
-        self.state = VCState.IDLE
-        self.out_port: Direction | None = None
-        self.out_vc: int | None = None
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.buffer)
-
-    @property
-    def has_space(self) -> bool:
-        return len(self.buffer) < self.depth
-
-    def reset_allocation(self) -> None:
-        self.state = VCState.IDLE
-        self.out_port = None
-        self.out_vc = None
+LOCAL = Direction.LOCAL
+_NUM_PORTS = len(Direction)
 
 
 class Router:
@@ -103,6 +93,7 @@ class Router:
         routing: RoutingAlgorithm,
         selection: SelectionPolicy = SelectionPolicy.MOST_CREDITS,
         operating_point: OperatingPoint,
+        power: PowerModel,
         rng: random.Random | None = None,
     ) -> None:
         if num_vcs < 1:
@@ -116,54 +107,68 @@ class Router:
         self.buffer_depth = buffer_depth
         self.routing = routing
         self.selection = selection
-        self.operating_point = operating_point
-        self.blocked_ports: set[Direction] = set()
+        self.power = power
         self._rng = rng or random.Random(node)
 
         neighbors = topology.neighbors(node)
-        self.input_ports: list[Direction] = [Direction.LOCAL] + list(neighbors)
-        self.output_ports: list[Direction] = [Direction.LOCAL] + list(neighbors)
-        self._neighbor_ports: list[Direction] = list(neighbors)
-        self._neighbor_by_port: dict[Direction, int] = dict(neighbors)
+        self.input_ports: list[Direction] = [LOCAL] + list(neighbors)
+        self.output_ports: list[Direction] = list(self.input_ports)
+        self._routable_ports = frozenset(neighbors)
+        self.neighbor_node: list[int | None] = [None] * _NUM_PORTS
+        for port, neighbor in neighbors.items():
+            self.neighbor_node[port] = neighbor
 
-        self.inputs: dict[Direction, list[InputVirtualChannel]] = {
-            port: [InputVirtualChannel(buffer_depth) for _ in range(num_vcs)]
-            for port in self.input_ports
-        }
-        # Static (port, vc, ivc) scan order, filtered per cycle by occupancy.
-        self._vc_scan: list[tuple[Direction, int, InputVirtualChannel]] = [
-            (port, vc_index, ivc)
-            for port in self.input_ports
-            for vc_index, ivc in enumerate(self.inputs[port])
+        # Per input VC (see the module docstring for the slot layout).
+        self.num_slots = len(self.input_ports) * num_vcs
+        self.slot_base: list[int | None] = [None] * _NUM_PORTS
+        for index, port in enumerate(self.input_ports):
+            self.slot_base[port] = index * num_vcs
+        self.slot_port: list[Direction] = [
+            port for port in self.input_ports for _ in range(num_vcs)
         ]
-        # Occupied-VC tracking: the scan positions whose buffers hold flits,
-        # maintained at the two buffer mutation points (receive_flit /
-        # _traverse) so a saturated router walks only its occupied VCs
-        # instead of the full ports x VCs grid every cycle.  Positions (not
-        # (port, vc) pairs) so a sorted set reproduces the static scan
-        # order VC allocation and switch arbitration depend on.
-        self._scan_index: dict[tuple[Direction, int], int] = {
-            (port, vc_index): index
-            for index, (port, vc_index, _) in enumerate(self._vc_scan)
-        }
-        self._occupied_scan: set[int] = set()
-        self.credits = CreditBook(self._neighbor_ports, num_vcs, buffer_depth)
-        self._credit_levels = self.credits.levels
-        self._routable_ports = frozenset(self._neighbor_ports)
-        # Which (input port, vc) currently holds each output VC (wormhole hold).
-        self._output_vc_owner: dict[Direction, list[tuple[Direction, int] | None]] = {
-            port: [None] * num_vcs for port in self._neighbor_ports
-        }
-        universe = [(port, vc) for port in self.input_ports for vc in range(num_vcs)]
-        self._switch_arbiters: dict[Direction, RoundRobinArbiter] = {
-            port: RoundRobinArbiter(universe) for port in self.output_ports
-        }
+        self.buffers: list[deque[Flit]] = [deque() for _ in range(self.num_slots)]
+        self.route: list[Direction | None] = [None] * self.num_slots
+        self.out_vc: list[int] = [-1] * self.num_slots
+        self.occupied: set[int] = set()
         self.buffered_flits = 0
+
+        # Per output port.
+        self.credits = CreditBook(list(neighbors), num_vcs, buffer_depth)
+        self.vc_held: list[list[bool] | None] = [None] * _NUM_PORTS
+        for port in neighbors:
+            self.vc_held[port] = [False] * num_vcs
+        self.rr_pointer = [0] * _NUM_PORTS
+        self.port_blocked = [False] * _NUM_PORTS
+        self.out_links: list[Link | None] = [None] * _NUM_PORTS
+        self.downstream_slot: list[int | None] = [None] * _NUM_PORTS
+        self.upstream_credits: list[list[int] | None] = [None] * _NUM_PORTS
+
+        self._adopt_operating_point(operating_point)
+
+    def connect(self, port: Direction, neighbor: "Router", link: Link) -> None:
+        """Wire output ``port`` to ``neighbor`` over ``link``.
+
+        Records where a flit sent on ``port`` lands (the neighbour's slot
+        base for the facing input port) and which credit counters a flit
+        leaving this router's ``port`` input returns a credit to (the
+        neighbour's counters for its facing output port).
+        """
+        facing = port.opposite
+        self.out_links[port] = link
+        self.downstream_slot[port] = neighbor.slot_base[facing]
+        self.upstream_credits[port] = neighbor.credits.levels[facing]
 
     # -- configuration knobs (the self-configuration surface) ------------------
 
-    def set_operating_point(self, point: OperatingPoint) -> None:
+    def _adopt_operating_point(self, point: OperatingPoint) -> None:
         self.operating_point = point
+        self.divider = point.divider
+        (self.read_pj, self.crossbar_pj, self.link_pj, self.write_pj) = (
+            self.power.flit_energies(point)
+        )
+
+    def set_operating_point(self, point: OperatingPoint) -> None:
+        self._adopt_operating_point(point)
         if self.on_operating_point_change is not None:
             self.on_operating_point_change()
 
@@ -190,26 +195,29 @@ class Router:
 
     def block_port(self, port: Direction) -> None:
         """Fail the outgoing link on ``port`` (fault-injection hook)."""
-        self.blocked_ports.add(port)
+        self.port_blocked[port] = True
 
     def unblock_port(self, port: Direction) -> None:
-        self.blocked_ports.discard(port)
+        self.port_blocked[port] = False
 
     # -- flit ingress ------------------------------------------------------------
 
+    def slot(self, port: Direction, vc: int) -> int:
+        """The slot index of input VC ``vc`` on ``port``."""
+        return self.slot_base[port] + vc
+
     def can_accept(self, port: Direction, vc: int) -> bool:
-        ivc = self.inputs[port][vc]
-        return len(ivc.buffer) < ivc.depth
+        return len(self.buffers[self.slot(port, vc)]) < self.buffer_depth
 
     def receive_flit(self, port: Direction, vc: int, flit: Flit) -> None:
-        ivc = self.inputs[port][vc]
-        buffer = ivc.buffer
-        if len(buffer) >= ivc.depth:
+        slot = self.slot(port, vc)
+        buffer = self.buffers[slot]
+        if len(buffer) >= self.buffer_depth:
             raise RuntimeError(
                 f"buffer overflow at node {self.node} port {port.name} vc {vc}"
             )
         if not buffer:
-            self._occupied_scan.add(self._scan_index[(port, vc)])
+            self.occupied.add(slot)
         buffer.append(flit)
         self.buffered_flits += 1
 
@@ -219,73 +227,159 @@ class Router:
 
     # -- pipeline ---------------------------------------------------------------
 
-    def is_active_cycle(self, cycle: int) -> bool:
-        return self.operating_point.is_active_cycle(cycle)
-
-    def step(self, cycle: int, power: PowerModel) -> list[Movement]:
+    def step(self, cycle: int) -> list[Movement]:
         """Run one router cycle; return the flit movements to apply."""
-        if self.buffered_flits == 0 or not self.is_active_cycle(cycle):
-            return []
         movements: list[Movement] = []
-        self.step_into(cycle, power, movements)
+        if self.buffered_flits and not cycle % self.divider:
+            self.step_into(cycle, movements)
         return movements
 
-    def step_into(
-        self, cycle: int, power: PowerModel, movements: list[Movement]
-    ) -> None:
+    def step_into(self, cycle: int, movements: list[Movement]) -> None:
         """Run the pipeline, appending movements to a caller-owned list.
 
         Precondition: the router holds buffered flits and ``cycle`` is clock
-        active — the activity-tracked engine has already established both
-        from its active set and divider table, so this entry point skips the
-        re-checks and the per-router result list that :meth:`step` pays for.
+        active (:meth:`step` and the simulator's router loop check both).
 
-        The occupancy scan and the RC/VA stage share one pass over the
-        *occupied* VCs only: the ``_occupied_scan`` position set (maintained
-        where buffers mutate) replaces the ports x VCs grid walk, so a
-        saturated router pays for the VCs that hold flits, not for every
-        empty one it would have skipped.
+        With one occupied VC (the common case below saturation) the VC is
+        the only requester of its output port, so RC, VA and SA reduce to a
+        few list reads: no sorting, no grouping by port and no arbitration
+        scan.  The switch-traversal stage after them is shared.
         """
-        idle = VCState.IDLE
-        routed = VCState.ROUTED
-        scan = self._vc_scan
-        occupied_scan = self._occupied_scan
-        if len(occupied_scan) == len(scan):
-            occupied = scan
+        occupied = self.occupied
+        route = self.route
+        out_vcs = self.out_vc
+        if len(occupied) == 1:
+            (slot,) = occupied
+            port = route[slot]
+            if port is None:
+                port = route[slot] = self._compute_route(slot)
+            out_vc = out_vcs[slot]
+            if out_vc < 0:
+                out_vc = self._allocate_output_vc(slot, port)
+                if out_vc < 0:
+                    return
+            if self.port_blocked[port]:
+                return
+            if port is not LOCAL and self.credits.levels[port][out_vc] <= 0:
+                return
+            # A lone requester always wins; the pointer moves just past it.
+            self.rr_pointer[port] = (slot + 1) % self.num_slots
+            grants = ((slot, port, out_vc),)
         else:
-            # Sorting the position set reproduces the static scan order the
-            # VC-allocation and arbitration stages are sensitive to.
-            occupied = [scan[index] for index in sorted(occupied_scan)]
-        for entry in occupied:
-            ivc = entry[2]
-            state = ivc.state
-            if state is idle:
-                head = ivc.buffer[0]
-                if not head.is_head:
-                    raise RuntimeError(
-                        f"flit ordering violated at node {self.node}: "
-                        f"expected head flit, found {head.flit_type}"
-                    )
-                ivc.out_port = self._compute_route(head)
-                ivc.state = state = routed
-            if state is routed:
-                self._allocate_output_vc(entry[0], entry[1], ivc)
-        self._switch_traversal(occupied, power, movements)
+            grants = self._allocate(sorted(occupied))
 
-    def _compute_route(self, head: Flit) -> Direction:
+        buffers = self.buffers
+        energy = self.power.energy
+        for slot, port, out_vc in grants:
+            buffer = buffers[slot]
+            flit = buffer.popleft()
+            if not buffer:
+                occupied.discard(slot)
+            self.buffered_flits -= 1
+            energy.buffer_pj += self.read_pj
+            energy.crossbar_pj += self.crossbar_pj
+            if port is LOCAL:
+                dst_node = None
+            else:
+                energy.link_pj += self.link_pj
+                levels = self.credits.levels[port]
+                if levels[out_vc] <= 0:
+                    raise RuntimeError(
+                        f"credit underflow on port {port.name} vc {out_vc}"
+                    )
+                levels[out_vc] -= 1
+                dst_node = self.neighbor_node[port]
+                if flit.is_tail:
+                    self.vc_held[port][out_vc] = False
+            if flit.is_tail:
+                route[slot] = None
+                out_vcs[slot] = -1
+            movements.append(
+                (flit, self.node, self.slot_port[slot], slot % self.num_vcs,
+                 port, out_vc, dst_node)
+            )
+
+    def _allocate(self, slots: list[int]) -> list[tuple[int, Direction, int]]:
+        """RC, VA and SA over several occupied ``slots`` (ascending).
+
+        Returns the ``(slot, out_port, out_vc)`` grants in output-port order:
+        at most one per output port and one per input port, each to a VC
+        whose downstream buffer has space.
+        """
+        route = self.route
+        out_vcs = self.out_vc
+        for slot in slots:
+            port = route[slot]
+            if port is None:
+                port = route[slot] = self._compute_route(slot)
+            if out_vcs[slot] < 0:
+                self._allocate_output_vc(slot, port)
+        requests: dict[Direction, list[int]] = {}
+        for slot in slots:
+            if out_vcs[slot] >= 0:
+                port = route[slot]
+                if port in requests:
+                    requests[port].append(slot)
+                else:
+                    requests[port] = [slot]
+        grants: list[tuple[int, Direction, int]] = []
+        blocked = self.port_blocked
+        levels = self.credits.levels
+        num_vcs = self.num_vcs
+        used_inputs: set[int] = set()
+        # Requests were grouped in slot order, so each list is ascending; a
+        # VC requests one port, so a grant never changes another port's
+        # candidates and the ports can be served one after another.
+        for port in sorted(requests):
+            if blocked[port]:
+                continue
+            if port is LOCAL:
+                eligible = [
+                    slot for slot in requests[port] if slot // num_vcs not in used_inputs
+                ]
+            else:
+                credit = levels[port]
+                eligible = [
+                    slot
+                    for slot in requests[port]
+                    if slot // num_vcs not in used_inputs and credit[out_vcs[slot]] > 0
+                ]
+            if not eligible:
+                continue
+            # Round robin: the first eligible slot at or after the pointer,
+            # wrapping around to the lowest one.
+            pointer = self.rr_pointer[port]
+            winner = eligible[0]
+            if winner < pointer:
+                for slot in eligible:
+                    if slot >= pointer:
+                        winner = slot
+                        break
+            self.rr_pointer[port] = (winner + 1) % self.num_slots
+            used_inputs.add(winner // num_vcs)
+            grants.append((winner, port, out_vcs[winner]))
+        return grants
+
+    def _compute_route(self, slot: int) -> Direction:
+        head = self.buffers[slot][0]
+        if not head.is_head:
+            raise RuntimeError(
+                f"flit ordering violated at node {self.node}: "
+                f"expected head flit, found {head.flit_type}"
+            )
         candidates = self.routing(self.topology, self.node, head.src, head.dst)
         if not candidates:
             raise RuntimeError(
                 f"routing returned no candidates at node {self.node} for {head!r}"
             )
-        if Direction.LOCAL in candidates:
-            return Direction.LOCAL
+        if LOCAL in candidates:
+            return LOCAL
         usable = [c for c in candidates if c in self._routable_ports]
         if not usable:
             raise RuntimeError(
                 f"routing produced off-chip candidates {candidates} at node {self.node}"
             )
-        unblocked = [c for c in usable if c not in self.blocked_ports]
+        unblocked = [c for c in usable if not self.port_blocked[c]]
         if unblocked:
             usable = unblocked
         return self._select_output(usable)
@@ -298,129 +392,19 @@ class Router:
         # MOST_CREDITS: prefer the least congested downstream port.
         return max(candidates, key=lambda port: (self.credits.total_available(port), -port))
 
-    def _allocate_output_vc(
-        self, port: Direction, vc_index: int, ivc: InputVirtualChannel
-    ) -> None:
-        assert ivc.out_port is not None
-        if ivc.out_port is Direction.LOCAL:
-            ivc.out_vc = None
-            ivc.state = VCState.ACTIVE
-            return
-        owners = self._output_vc_owner[ivc.out_port]
+    def _allocate_output_vc(self, slot: int, port: Direction) -> int:
+        """Claim the lowest free enabled output VC on ``port`` for ``slot``;
+        return it, or ``-1`` when none is free (retried on a later cycle)."""
+        if port is LOCAL:
+            self.out_vc[slot] = 0
+            return 0
+        held = self.vc_held[port]
         for out_vc in range(self.enabled_vcs):
-            if owners[out_vc] is None:
-                owners[out_vc] = (port, vc_index)
-                ivc.out_vc = out_vc
-                ivc.state = VCState.ACTIVE
-                return
-        # No free output VC this cycle; retry on a later cycle.
-
-    # switch allocation + traversal
-    def _switch_traversal(
-        self,
-        occupied: list[tuple[Direction, int, InputVirtualChannel]],
-        power: PowerModel,
-        movements: list[Movement],
-    ) -> None:
-        # Group the allocated VCs by their output port up front; arbitration
-        # then only visits ports that actually have requesters.  A VC's
-        # grant cannot perturb another port's candidates (credits are
-        # per-port and a VC requests exactly one port), so deferring the
-        # downstream-space check to the grant loop reproduces the naive
-        # scan-per-output-port behaviour exactly.
-        active_state = VCState.ACTIVE
-        requests_by_port: dict[
-            Direction, list[tuple[Direction, int, InputVirtualChannel]]
-        ] = {}
-        for entry in occupied:
-            ivc = entry[2]
-            if ivc.state is active_state:
-                out_port = ivc.out_port
-                candidates = requests_by_port.get(out_port)
-                if candidates is None:
-                    requests_by_port[out_port] = [entry]
-                else:
-                    candidates.append(entry)
-        if not requests_by_port:
-            return
-        blocked = self.blocked_ports
-        credit_levels = self._credit_levels
-        if len(requests_by_port) == 1:
-            # Single-output-port fast path (the common low-contention case):
-            # the output-port iteration order and the used-input-port filter
-            # cannot matter with one port in play.
-            out_port, candidates = next(iter(requests_by_port.items()))
-            if out_port in blocked:
-                return
-            if out_port is Direction.LOCAL:
-                requests = [(in_port, vc_index) for in_port, vc_index, ivc in candidates]
-            else:
-                levels = credit_levels[out_port]
-                requests = [
-                    (in_port, vc_index)
-                    for in_port, vc_index, ivc in candidates
-                    if levels[ivc.out_vc] > 0
-                ]
-            winner = self._switch_arbiters[out_port].grant(requests)
-            if winner is not None:
-                movements.append(self._traverse(winner[0], winner[1], out_port, power))
-            return
-        used_input_ports: set[Direction] = set()
-        for out_port in self.output_ports:
-            candidates = requests_by_port.get(out_port)
-            if not candidates or out_port in blocked:
-                continue
-            if out_port is Direction.LOCAL:
-                requests = [
-                    (in_port, vc_index)
-                    for in_port, vc_index, ivc in candidates
-                    if in_port not in used_input_ports
-                ]
-            else:
-                levels = credit_levels[out_port]
-                requests = [
-                    (in_port, vc_index)
-                    for in_port, vc_index, ivc in candidates
-                    if in_port not in used_input_ports and levels[ivc.out_vc] > 0
-                ]
-            winner = self._switch_arbiters[out_port].grant(requests)
-            if winner is None:
-                continue
-            in_port, vc_index = winner
-            used_input_ports.add(in_port)
-            movements.append(self._traverse(in_port, vc_index, out_port, power))
-
-    def _traverse(
-        self, in_port: Direction, vc_index: int, out_port: Direction, power: PowerModel
-    ) -> Movement:
-        ivc = self.inputs[in_port][vc_index]
-        flit = ivc.buffer.popleft()
-        if not ivc.buffer:
-            self._occupied_scan.discard(self._scan_index[(in_port, vc_index)])
-        self.buffered_flits -= 1
-        out_vc = ivc.out_vc
-        local = out_port is Direction.LOCAL
-        power.record_flit_traversal(self.operating_point, link=not local)
-
-        dst_node: int | None = None
-        if not local:
-            assert out_vc is not None
-            # Inline CreditBook.consume (hot path): spend one credit.
-            levels = self._credit_levels[out_port]
-            if levels[out_vc] <= 0:
-                raise RuntimeError(
-                    f"credit underflow on port {out_port.name} vc {out_vc}"
-                )
-            levels[out_vc] -= 1
-            dst_node = self._neighbor_by_port[out_port]
-
-        if flit.is_tail:
-            if out_port is not Direction.LOCAL:
-                assert out_vc is not None
-                self._output_vc_owner[out_port][out_vc] = None
-            ivc.reset_allocation()
-
-        return Movement(flit, self.node, in_port, vc_index, out_port, out_vc, dst_node)
+            if not held[out_vc]:
+                held[out_vc] = True
+                self.out_vc[slot] = out_vc
+                return out_vc
+        return -1
 
     # -- credit interface used by the network -------------------------------------
 
@@ -431,10 +415,11 @@ class Router:
 
     def free_input_vc(self, port: Direction) -> int | None:
         """Index of an idle, empty, enabled input VC on ``port`` (for injection)."""
-        for vc_index in range(self.enabled_vcs):
-            ivc = self.inputs[port][vc_index]
-            if ivc.state is VCState.IDLE and not ivc.buffer:
-                return vc_index
+        base = self.slot_base[port]
+        for vc in range(self.enabled_vcs):
+            slot = base + vc
+            if self.route[slot] is None and not self.buffers[slot]:
+                return vc
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -444,12 +429,4 @@ class Router:
         )
 
 
-# Re-export so callers importing the router module see the cardinal ordering
-# the arbiters and tests rely on.
-__all__ = [
-    "CARDINAL_DIRECTIONS",
-    "InputVirtualChannel",
-    "Movement",
-    "Router",
-    "VCState",
-]
+__all__ = ["Movement", "Router"]

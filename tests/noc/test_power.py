@@ -116,20 +116,22 @@ class TestBatchedAccrual:
         batched.accrue_leakage_increments(increments, cycles=7)
         assert batched.energy.leakage_pj == reference.energy.leakage_pj
 
-    def test_fused_flit_traversal_matches_individual_events(self):
+    def test_flit_energies_match_individual_events_bitwise(self):
         reference = PowerModel()
         reference.record_buffer_read(LOW)
         reference.record_crossbar_traversal(LOW)
         reference.record_link_traversal(LOW)
-        fused = PowerModel()
-        fused.record_flit_traversal(LOW, link=True)
-        assert fused.energy.as_dict() == reference.energy.as_dict()
-        local = PowerModel()
-        local.record_flit_traversal(LOW, link=False)
-        assert local.energy.link_pj == 0.0
-        assert local.energy.buffer_pj == reference.energy.buffer_pj
+        read, crossbar, link, write = reference.flit_energies(LOW)
+        assert (read, crossbar, link) == (
+            reference.energy.buffer_pj,
+            reference.energy.crossbar_pj,
+            reference.energy.link_pj,
+        )
+        written = PowerModel()
+        written.record_buffer_write(LOW)
+        assert write == written.energy.buffer_pj
 
-    def test_scale_memo_tracks_operating_point_changes(self):
+    def test_dynamic_energy_tracks_operating_point_changes(self):
         model = PowerModel()
         model.record_buffer_write(NOMINAL)
         at_nominal = model.energy.buffer_pj

@@ -1,11 +1,13 @@
 """Unit tests for the VC wormhole router in isolation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.noc.dvfs import DVFS_LEVELS_DEFAULT
 from repro.noc.packet import Packet
 from repro.noc.power import PowerModel
-from repro.noc.router import Router, VCState
+from repro.noc.router import Router
 from repro.noc.routing import SelectionPolicy, get_routing_algorithm
 from repro.noc.topology import Direction, Mesh
 
@@ -21,6 +23,7 @@ def make_router(node: int = 5, **kwargs) -> Router:
         routing=get_routing_algorithm("xy"),
         selection=SelectionPolicy.FIRST,
         operating_point=FULL_SPEED,
+        power=PowerModel(),
     )
     defaults.update(kwargs)
     return Router(node, MESH, **defaults)
@@ -79,32 +82,34 @@ class TestPipeline:
         router = make_router(node=5)
         packet = Packet(src=5, dst=7, size=1, creation_cycle=0)  # two hops east
         load_packet(router, packet)
-        movements = router.step(0, PowerModel())
+        movements = router.step(0)
         assert len(movements) == 1
-        move = movements[0]
-        assert move.out_port is Direction.EAST
-        assert move.dst_node == 6
+        _flit, src, in_port, _in_vc, out_port, _out_vc, dst_node = movements[0]
+        assert (src, in_port) == (5, Direction.LOCAL)
+        assert out_port is Direction.EAST
+        assert dst_node == 6
         assert router.buffered_flits == 0
 
     def test_packet_for_local_node_is_ejected(self):
         router = make_router(node=5)
         packet = Packet(src=1, dst=5, size=1, creation_cycle=0)
         load_packet(router, packet, port=Direction.SOUTH)
-        movements = router.step(0, PowerModel())
+        movements = router.step(0)
         assert len(movements) == 1
-        assert movements[0].out_port is Direction.LOCAL
-        assert movements[0].dst_node is None
+        _flit, _src, in_port, _in_vc, out_port, _out_vc, dst_node = movements[0]
+        assert in_port is Direction.SOUTH
+        assert out_port is Direction.LOCAL
+        assert dst_node is None
 
     def test_one_flit_per_cycle_per_output(self):
         router = make_router(node=5)
         packet = Packet(src=5, dst=7, size=3, creation_cycle=0)
         load_packet(router, packet)
-        power = PowerModel()
         total_moves = []
         for cycle in range(5):
-            total_moves.extend(router.step(cycle, power))
+            total_moves.extend(router.step(cycle))
         assert len(total_moves) == 3
-        assert all(move.out_port is Direction.EAST for move in total_moves)
+        assert all(move[4] is Direction.EAST for move in total_moves)
 
     def test_wormhole_holds_output_vc_until_tail(self):
         router = make_router(node=5, num_vcs=2)
@@ -112,22 +117,22 @@ class TestPipeline:
         second = Packet(src=1, dst=7, size=1, creation_cycle=0)
         load_packet(router, first, port=Direction.LOCAL, vc=0)
         load_packet(router, second, port=Direction.SOUTH, vc=0)
-        power = PowerModel()
-        router.step(0, power)
+        router.step(0)
         # Both packets request EAST; they must use *different* output VCs
         # because the first holds its VC until the tail flit departs.
-        local_vc = router.inputs[Direction.LOCAL][0]
-        south_vc = router.inputs[Direction.SOUTH][0]
-        assert local_vc.out_vc != south_vc.out_vc
+        local_vc = router.out_vc[router.slot(Direction.LOCAL, 0)]
+        south_vc = router.out_vc[router.slot(Direction.SOUTH, 0)]
+        assert local_vc != south_vc
 
     def test_vc_state_returns_to_idle_after_tail(self):
         router = make_router(node=5)
         packet = Packet(src=5, dst=6, size=2, creation_cycle=0)
         load_packet(router, packet)
-        power = PowerModel()
         for cycle in range(3):
-            router.step(cycle, power)
-        assert router.inputs[Direction.LOCAL][0].state is VCState.IDLE
+            router.step(cycle)
+        slot = router.slot(Direction.LOCAL, 0)
+        assert router.route[slot] is None  # idle: route computation pending
+        assert router.out_vc[slot] == -1
         assert router.buffered_flits == 0
 
     def test_credit_exhaustion_blocks_traversal(self):
@@ -139,33 +144,31 @@ class TestPipeline:
             router.credits.consume(Direction.EAST, vc)
         packet = Packet(src=5, dst=7, size=4, creation_cycle=0)
         load_packet(router, packet)
-        power = PowerModel()
         moves = []
         for cycle in range(6):
-            moves.extend(router.step(cycle, power))
+            moves.extend(router.step(cycle))
         # Only the two remaining credits worth of flits can leave.
         assert len(moves) == 2
-        router.release_credit(Direction.EAST, moves[0].out_vc)
-        moves.extend(router.step(6, power))
+        out_vc = moves[0][5]
+        router.release_credit(Direction.EAST, out_vc)
+        moves.extend(router.step(6))
         assert len(moves) == 3
 
     def test_dvfs_divider_gates_pipeline(self):
         router = make_router(node=5, operating_point=QUARTER_SPEED)
         packet = Packet(src=5, dst=6, size=1, creation_cycle=0)
         load_packet(router, packet)
-        power = PowerModel()
-        assert router.step(1, power) == []  # inactive cycle
-        assert router.step(2, power) == []
-        assert len(router.step(4, power)) == 1  # divider-4 active cycle
+        assert router.step(1) == []  # inactive cycle
+        assert router.step(2) == []
+        assert len(router.step(4)) == 1  # divider-4 active cycle
 
     def test_blocked_port_prevents_traversal(self):
         router = make_router(node=5)
         router.block_port(Direction.EAST)
         packet = Packet(src=5, dst=6, size=1, creation_cycle=0)  # needs EAST
         load_packet(router, packet)
-        power = PowerModel()
         for cycle in range(3):
-            assert router.step(cycle, power) == []
+            assert router.step(cycle) == []
 
     def test_adaptive_routing_avoids_blocked_port_when_possible(self):
         router = make_router(node=5, routing=get_routing_algorithm("west_first"))
@@ -174,9 +177,9 @@ class TestPipeline:
         # blocked so the router must pick NORTH.
         packet = Packet(src=5, dst=10, size=1, creation_cycle=0)
         load_packet(router, packet)
-        movements = router.step(0, PowerModel())
+        movements = router.step(0)
         assert len(movements) == 1
-        assert movements[0].out_port is Direction.NORTH
+        assert movements[0][4] is Direction.NORTH
 
     def test_head_flit_required_at_front(self):
         router = make_router(node=5)
@@ -184,7 +187,7 @@ class TestPipeline:
         body_only = packet.flits()[1]
         router.receive_flit(Direction.LOCAL, 0, body_only)
         with pytest.raises(RuntimeError, match="ordering"):
-            router.step(0, PowerModel())
+            router.step(0)
 
 
 class TestSelectionPolicies:
@@ -200,8 +203,8 @@ class TestSelectionPolicies:
                 router.credits.consume(Direction.EAST, vc)
         packet = Packet(src=5, dst=10, size=1, creation_cycle=0)
         load_packet(router, packet)
-        movements = router.step(0, PowerModel())
-        assert movements and movements[0].out_port is Direction.NORTH
+        movements = router.step(0)
+        assert movements and movements[0][4] is Direction.NORTH
 
     def test_configuration_setters(self):
         router = make_router()
@@ -213,3 +216,92 @@ class TestSelectionPolicies:
             router.set_enabled_vcs(0)
         with pytest.raises(ValueError):
             router.set_enabled_vcs(router.num_vcs + 1)
+
+
+class TestSwitchArbitration:
+    """The per-output-port round-robin switch arbiter.
+
+    Every requester below is a long packet addressed to the router itself,
+    so all of them request the LOCAL output port, never run out of credits
+    and keep requesting for the whole test: exactly one flit leaves per
+    cycle and the grant order is the arbiter's alone.
+    """
+
+    NODE = 5
+    LENGTH = 12
+
+    def contended_router(self, requesters, num_vcs=2):
+        router = make_router(node=self.NODE, num_vcs=num_vcs, buffer_depth=self.LENGTH)
+        for port, vc in requesters:
+            packet = Packet(src=0, dst=self.NODE, size=self.LENGTH, creation_cycle=0)
+            load_packet(router, packet, port=port, vc=vc)
+        return router
+
+    def grants(self, router, cycles):
+        granted = []
+        for cycle in range(cycles):
+            movements = router.step(cycle)
+            assert len(movements) == 1
+            _flit, _src, in_port, in_vc, out_port, _out_vc, _dst = movements[0]
+            assert out_port is Direction.LOCAL
+            granted.append((in_port, in_vc))
+        return granted
+
+    def test_single_requester_always_wins(self):
+        router = self.contended_router([(Direction.EAST, 1)])
+        assert self.grants(router, 5) == [(Direction.EAST, 1)] * 5
+
+    def test_full_contention_rotates_in_slot_order(self):
+        requesters = [(port, vc) for port in Direction for vc in range(2)]
+        router = self.contended_router(requesters)
+        assert self.grants(router, 2 * len(requesters)) == requesters * 2
+
+    def test_pointer_advances_past_winner(self):
+        requesters = [(Direction.LOCAL, 0), (Direction.EAST, 1)]
+        router = self.contended_router(requesters)
+        assert self.grants(router, 4) == requesters * 2
+
+    def test_partial_contention_does_not_starve(self):
+        requesters = [(Direction.NORTH, 0), (Direction.WEST, 1)]
+        router = self.contended_router(requesters)
+        granted = self.grants(router, 6)
+        assert granted.count(requesters[0]) == granted.count(requesters[1]) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_vcs=st.integers(min_value=1, max_value=3),
+    rounds=st.integers(min_value=1, max_value=TestSwitchArbitration.LENGTH),
+    data=st.data(),
+)
+def test_round_robin_fairness_property(num_vcs, rounds, data):
+    """No input VC is granted twice before every other persistent requester
+    of the same output port is granted once (bounded waiting)."""
+    universe = [(port, vc) for port in Direction for vc in range(num_vcs)]
+    persistent = data.draw(
+        st.lists(st.sampled_from(universe), min_size=1, max_size=len(universe), unique=True)
+    )
+    arbitration = TestSwitchArbitration()
+    router = arbitration.contended_router(persistent, num_vcs=num_vcs)
+    granted = arbitration.grants(router, rounds)
+    assert all(grant in persistent for grant in granted)
+    counts = {key: granted.count(key) for key in persistent}
+    assert max(counts.values()) - min(counts.values()) <= 1
+
+
+class TestTraversalEnergy:
+    def test_hop_adds_precomputed_flit_energies(self):
+        router = make_router(node=5, operating_point=QUARTER_SPEED)
+        load_packet(router, Packet(src=5, dst=6, size=1, creation_cycle=0))
+        router.step(0)
+        read, crossbar, link, _write = router.power.flit_energies(QUARTER_SPEED)
+        energy = router.power.energy
+        assert (energy.buffer_pj, energy.crossbar_pj, energy.link_pj) == (read, crossbar, link)
+
+    def test_operating_point_change_refreshes_energies(self):
+        router = make_router()
+        router.set_operating_point(QUARTER_SPEED)
+        assert router.divider == QUARTER_SPEED.divider
+        assert (router.read_pj, router.crossbar_pj, router.link_pj, router.write_pj) == (
+            router.power.flit_energies(QUARTER_SPEED)
+        )
