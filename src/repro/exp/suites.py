@@ -308,9 +308,17 @@ def _agent_payload(result: TrainingResult) -> dict:
 _EVAL_CACHE: dict[str, dict] = {}
 
 
-def _agent_fingerprint(agent_payload: Mapping | None) -> str:
+def _agent_fingerprint(agent_payload: Mapping | str | None) -> str:
+    """Key-stable stand-in for a subtrial's ``agent`` param.
+
+    An eval subtrial embeds the trained weights (fingerprinted by content);
+    a ``train-eval`` subtrial names the agent variant it trains, which is
+    fingerprinted by that name so two variants never share a key.
+    """
     if agent_payload is None:
         return ""
+    if isinstance(agent_payload, str):
+        return f"variant:{agent_payload}"
     blob = pickle.dumps((agent_payload["dqn_config"], agent_payload["state"]))
     return hashlib.sha1(blob).hexdigest()
 

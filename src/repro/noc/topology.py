@@ -2,9 +2,7 @@
 
 A topology maps node identifiers to grid coordinates and answers neighbour
 queries per :class:`Direction`.  Meshes and tori are the topologies used by
-the DRL-for-NoC literature; both are provided here.  A ``networkx`` view is
-exposed for structural analysis (diameter, average hop distance) used by the
-benchmarks and tests.
+the DRL-for-NoC literature; both are provided here.
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator
-
-import networkx as nx
 
 
 class Direction(IntEnum):
@@ -171,17 +167,6 @@ class Mesh:
 
     def diameter(self) -> int:
         return self.hop_distance(0, self.num_nodes - 1)
-
-    # -- graph view ------------------------------------------------------
-
-    def to_graph(self) -> nx.Graph:
-        """Undirected ``networkx`` graph of router adjacency."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes())
-        for node in self.nodes():
-            for neighbor in self.neighbors(node).values():
-                graph.add_edge(node, neighbor)
-        return graph
 
     def links(self) -> list[tuple[int, Direction, int]]:
         """All directed links as ``(src, out_direction, dst)`` triples."""

@@ -434,6 +434,20 @@ class TestSubtrialKey:
         assert subtrial_key(("eval", {"rates": [0.05], "seed": 0})) != base
         assert subtrial_key(("sweep", {"rates": [0.05], "seed": 1})) != base
 
+    def test_train_eval_keys_are_distinct_and_stable_per_agent_variant(self):
+        def train_eval_keys():
+            keys = {}
+            for unit in get_suite("table3-smoke").units:
+                if unit.kind == "train-eval":
+                    (subtrial,) = suites.expand_unit(unit)
+                    keys[unit.params["agent"]] = subtrial.key
+            return keys
+
+        keys = train_eval_keys()
+        assert sorted(keys) == sorted(suites.TRAIN_EVAL_AGENTS)
+        assert len(set(keys.values())) == len(keys)
+        assert train_eval_keys() == keys
+
 
 class TestSuiteJournal:
     def test_append_and_load_round_trip(self, tmp_path):

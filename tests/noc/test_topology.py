@@ -1,9 +1,27 @@
 """Unit tests for mesh and torus topologies."""
 
-import networkx as nx
+from collections import deque
+
 import pytest
 
 from repro.noc.topology import CARDINAL_DIRECTIONS, Direction, Mesh, Torus
+
+
+def bfs_distances(topology: Mesh, source: int) -> dict[int, int]:
+    """Hop distance from ``source`` to every node reachable over links."""
+    distances = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        for neighbor in topology.neighbors(node).values():
+            if neighbor not in distances:
+                distances[neighbor] = distances[node] + 1
+                frontier.append(neighbor)
+    return distances
+
+
+def undirected_edges(topology: Mesh) -> set[frozenset[int]]:
+    return {frozenset((src, dst)) for src, _direction, dst in topology.links()}
 
 
 class TestDirection:
@@ -121,8 +139,7 @@ class TestMeshDistances:
 
     def test_average_hop_distance_matches_graph(self):
         mesh = Mesh(3, 3)
-        graph = mesh.to_graph()
-        lengths = dict(nx.all_pairs_shortest_path_length(graph))
+        lengths = {node: bfs_distances(mesh, node) for node in mesh.nodes()}
         total = sum(
             lengths[a][b] for a in mesh.nodes() for b in mesh.nodes() if a != b
         )
@@ -133,10 +150,16 @@ class TestMeshDistances:
 class TestMeshGraph:
     def test_graph_is_connected_with_expected_edges(self):
         mesh = Mesh(4, 4)
-        graph = mesh.to_graph()
-        assert nx.is_connected(graph)
+        assert len(bfs_distances(mesh, 0)) == mesh.num_nodes
         # 2 * w * h - w - h bidirectional edges in a mesh
-        assert graph.number_of_edges() == 2 * 4 * 4 - 4 - 4
+        assert len(undirected_edges(mesh)) == 2 * 4 * 4 - 4 - 4
+
+    @pytest.mark.parametrize("topology", [Mesh(4, 4), Mesh(5, 3), Torus(4, 4), Torus(5, 3)])
+    def test_diameter_matches_bfs(self, topology):
+        eccentricities = [
+            max(bfs_distances(topology, node).values()) for node in topology.nodes()
+        ]
+        assert topology.diameter() == max(eccentricities)
 
     def test_links_are_directed_pairs(self):
         mesh = Mesh(3, 3)
@@ -168,5 +191,7 @@ class TestTorus:
 
     def test_graph_is_regular(self):
         torus = Torus(4, 4)
-        graph = torus.to_graph()
-        assert all(degree == 4 for _, degree in graph.degree())
+        edges = undirected_edges(torus)
+        assert all(
+            sum(node in edge for edge in edges) == 4 for node in torus.nodes()
+        )
