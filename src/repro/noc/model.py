@@ -13,9 +13,18 @@ The model exposes the cycle phases engines compose —
 :meth:`inject_from_sources`, :meth:`step_routers`, :meth:`apply_movements`
 and :meth:`record_cycle_overheads` — plus the O(1) :meth:`network_empty`
 check and the cached per-cycle accrual helpers that make span batching
-bit-identical to per-cycle execution.  Two engines ship with the package:
-the cycle-driven loop (``cycle``, the reference) and the calendar-queue
-event engine (``event``); both must produce byte-identical telemetry.
+bit-identical to per-cycle execution.  The engines live in the
+:mod:`repro.engines` registry: the cycle-driven reference loop
+(``cycle``), the calendar-queue ``event`` engine, the ``numpy`` engine
+with vectorised injection sampling, the batch-dispatch-only ``batch``
+engine and the approximate ``flow`` engine.  Every exact engine (all but
+``flow``) must produce byte-identical telemetry.
+
+The per-router pipeline lives in :meth:`Router.step_into`, on the
+router's flat state tables (see :mod:`repro.noc.router`);
+:meth:`step_routers` calls it for every clock-active router holding
+flits, and :meth:`apply_movements` applies the resulting movement tuples
+to the same tables.
 
 :class:`~repro.noc.network.NoCSimulator` remains the user-facing facade
 that couples one model with one engine.
@@ -416,7 +425,7 @@ class NoCModel:
         if not self.activity_tracking:
             for router in self.routers.values():
                 if router.buffered_flits and not cycle % router.divider:
-                    router.step_into(cycle, movements)
+                    router.step_into(movements)
             return movements
         routers = self.routers
         stepped = 0
@@ -424,7 +433,7 @@ class NoCModel:
             router = routers[node]
             if cycle % router.divider:
                 continue  # DVFS clock divider gates this cycle entirely.
-            router.step_into(cycle, movements)
+            router.step_into(movements)
             stepped += 1
         self.skipped_router_steps += len(routers) - stepped
         return movements

@@ -39,7 +39,8 @@ per-VC objects, so that a flit hop costs a few list operations.
 
 * Per output port, indexed by the ``Direction`` value (``LOCAL == 0``):
 
-  - ``credits.levels[port][vc]``: free slots in the downstream buffer;
+  - ``credit_levels[port][vc]``: free slots in the downstream buffer
+    (the live lists of the router's :class:`CreditBook`);
   - ``vc_held[port][vc]``: whether a packet holds that output VC;
   - ``rr_pointer[port]``: the port's round-robin switch arbiter, as the
     slot its next search starts from;
@@ -134,6 +135,7 @@ class Router:
 
         # Per output port.
         self.credits = CreditBook(list(neighbors), num_vcs, buffer_depth)
+        self.credit_levels = self.credits.levels
         self.vc_held: list[list[bool] | None] = [None] * _NUM_PORTS
         for port in neighbors:
             self.vc_held[port] = [False] * num_vcs
@@ -156,7 +158,7 @@ class Router:
         facing = port.opposite
         self.out_links[port] = link
         self.downstream_slot[port] = neighbor.slot_base[facing]
-        self.upstream_credits[port] = neighbor.credits.levels[facing]
+        self.upstream_credits[port] = neighbor.credit_levels[facing]
 
     # -- configuration knobs (the self-configuration surface) ------------------
 
@@ -231,14 +233,15 @@ class Router:
         """Run one router cycle; return the flit movements to apply."""
         movements: list[Movement] = []
         if self.buffered_flits and not cycle % self.divider:
-            self.step_into(cycle, movements)
+            self.step_into(movements)
         return movements
 
-    def step_into(self, cycle: int, movements: list[Movement]) -> None:
+    def step_into(self, movements: list[Movement]) -> None:
         """Run the pipeline, appending movements to a caller-owned list.
 
-        Precondition: the router holds buffered flits and ``cycle`` is clock
-        active (:meth:`step` and the simulator's router loop check both).
+        Precondition: the router holds buffered flits and the current cycle
+        is clock active (:meth:`step` and the simulator's router loop check
+        both).
 
         With one occupied VC (the common case below saturation) the VC is
         the only requester of its output port, so RC, VA and SA reduce to a
@@ -260,7 +263,7 @@ class Router:
                     return
             if self.port_blocked[port]:
                 return
-            if port is not LOCAL and self.credits.levels[port][out_vc] <= 0:
+            if port is not LOCAL and self.credit_levels[port][out_vc] <= 0:
                 return
             # A lone requester always wins; the pointer moves just past it.
             self.rr_pointer[port] = (slot + 1) % self.num_slots
@@ -282,7 +285,7 @@ class Router:
                 dst_node = None
             else:
                 energy.link_pj += self.link_pj
-                levels = self.credits.levels[port]
+                levels = self.credit_levels[port]
                 if levels[out_vc] <= 0:
                     raise RuntimeError(
                         f"credit underflow on port {port.name} vc {out_vc}"
@@ -324,7 +327,7 @@ class Router:
                     requests[port] = [slot]
         grants: list[tuple[int, Direction, int]] = []
         blocked = self.port_blocked
-        levels = self.credits.levels
+        levels = self.credit_levels
         num_vcs = self.num_vcs
         used_inputs: set[int] = set()
         # Requests were grouped in slot order, so each list is ascending; a
