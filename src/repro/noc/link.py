@@ -20,10 +20,8 @@ class Link:
     src: int
     direction: Direction
     dst: int
+    #: Flits carried so far (counted by ``NoCModel.apply_movements``).
     traversals: int = 0
-
-    def record_traversal(self, flits: int = 1) -> None:
-        self.traversals += flits
 
     def utilization(self, cycles: int) -> float:
         """Lifetime utilisation: flits carried per cycle (0..1 for 1-flit links)."""

@@ -409,11 +409,6 @@ class Router:
                 return out_vc
         return -1
 
-    # -- credit interface used by the network -------------------------------------
-
-    def release_credit(self, port: Direction, vc: int) -> None:
-        self.credits.release(port, vc)
-
     # -- introspection --------------------------------------------------------------
 
     def free_input_vc(self, port: Direction) -> int | None:

@@ -150,7 +150,7 @@ class TestPipeline:
         # Only the two remaining credits worth of flits can leave.
         assert len(moves) == 2
         out_vc = moves[0][5]
-        router.release_credit(Direction.EAST, out_vc)
+        router.credits.release(Direction.EAST, out_vc)
         moves.extend(router.step(6))
         assert len(moves) == 3
 
