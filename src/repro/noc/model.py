@@ -380,7 +380,6 @@ class NoCModel:
         routers = self.routers
         ni_active_vc = self._ni_active_vc
         energy = self.power.energy
-        depth = self.config.buffer_depth
         local = Direction.LOCAL
         for node in nodes:
             queue = source_queues[node]
@@ -400,7 +399,7 @@ class NoCModel:
                 self.stats.record_packet_injected(flit.packet.size)
             if vc is None:
                 raise RuntimeError(f"NI at node {node} lost its VC assignment")
-            if len(router.buffers[router.slot(local, vc)]) >= depth:
+            if not router.can_accept(local, vc):
                 continue
             queue.popleft()
             self._queued_total -= 1
