@@ -320,11 +320,7 @@ class Router:
         requests: dict[Direction, list[int]] = {}
         for slot in slots:
             if out_vcs[slot] >= 0:
-                port = route[slot]
-                if port in requests:
-                    requests[port].append(slot)
-                else:
-                    requests[port] = [slot]
+                requests.setdefault(route[slot], []).append(slot)
         grants: list[tuple[int, Direction, int]] = []
         blocked = self.port_blocked
         levels = self.credit_levels

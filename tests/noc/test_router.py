@@ -218,60 +218,66 @@ class TestSelectionPolicies:
             router.set_enabled_vcs(router.num_vcs + 1)
 
 
-class TestSwitchArbitration:
-    """The per-output-port round-robin switch arbiter.
+ARBITRATED_NODE = 5
+REQUEST_FLITS = 12
 
-    Every requester below is a long packet addressed to the router itself,
-    so all of them request the LOCAL output port, never run out of credits
-    and keep requesting for the whole test: exactly one flit leaves per
-    cycle and the grant order is the arbiter's alone.
+
+def contended_router(requesters, num_vcs: int = 2) -> Router:
+    """A router whose input VCs ``requesters`` each hold a long packet
+    addressed to the router itself.
+
+    Every requester asks for the LOCAL output port, never runs out of
+    credits and keeps requesting for ``REQUEST_FLITS`` cycles, so exactly
+    one flit leaves per cycle and the grant order is the switch arbiter's
+    alone.
     """
+    router = make_router(node=ARBITRATED_NODE, num_vcs=num_vcs, buffer_depth=REQUEST_FLITS)
+    for port, vc in requesters:
+        packet = Packet(src=0, dst=ARBITRATED_NODE, size=REQUEST_FLITS, creation_cycle=0)
+        load_packet(router, packet, port=port, vc=vc)
+    return router
 
-    NODE = 5
-    LENGTH = 12
 
-    def contended_router(self, requesters, num_vcs=2):
-        router = make_router(node=self.NODE, num_vcs=num_vcs, buffer_depth=self.LENGTH)
-        for port, vc in requesters:
-            packet = Packet(src=0, dst=self.NODE, size=self.LENGTH, creation_cycle=0)
-            load_packet(router, packet, port=port, vc=vc)
-        return router
+def local_grants(router: Router, cycles: int) -> list[tuple[Direction, int]]:
+    """The ``(in_port, in_vc)`` granted the LOCAL port on each cycle."""
+    granted = []
+    for cycle in range(cycles):
+        movements = router.step(cycle)
+        assert len(movements) == 1
+        _flit, _src, in_port, in_vc, out_port, _out_vc, _dst = movements[0]
+        assert out_port is Direction.LOCAL
+        granted.append((in_port, in_vc))
+    return granted
 
-    def grants(self, router, cycles):
-        granted = []
-        for cycle in range(cycles):
-            movements = router.step(cycle)
-            assert len(movements) == 1
-            _flit, _src, in_port, in_vc, out_port, _out_vc, _dst = movements[0]
-            assert out_port is Direction.LOCAL
-            granted.append((in_port, in_vc))
-        return granted
+
+class TestSwitchArbitration:
+    """The per-output-port round-robin switch arbiter."""
 
     def test_single_requester_always_wins(self):
-        router = self.contended_router([(Direction.EAST, 1)])
-        assert self.grants(router, 5) == [(Direction.EAST, 1)] * 5
+        router = contended_router([(Direction.EAST, 1)])
+        assert local_grants(router, 5) == [(Direction.EAST, 1)] * 5
 
     def test_full_contention_rotates_in_slot_order(self):
         requesters = [(port, vc) for port in Direction for vc in range(2)]
-        router = self.contended_router(requesters)
-        assert self.grants(router, 2 * len(requesters)) == requesters * 2
+        router = contended_router(requesters)
+        assert local_grants(router, 2 * len(requesters)) == requesters * 2
 
     def test_pointer_advances_past_winner(self):
         requesters = [(Direction.LOCAL, 0), (Direction.EAST, 1)]
-        router = self.contended_router(requesters)
-        assert self.grants(router, 4) == requesters * 2
+        router = contended_router(requesters)
+        assert local_grants(router, 4) == requesters * 2
 
     def test_partial_contention_does_not_starve(self):
         requesters = [(Direction.NORTH, 0), (Direction.WEST, 1)]
-        router = self.contended_router(requesters)
-        granted = self.grants(router, 6)
+        router = contended_router(requesters)
+        granted = local_grants(router, 6)
         assert granted.count(requesters[0]) == granted.count(requesters[1]) == 3
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     num_vcs=st.integers(min_value=1, max_value=3),
-    rounds=st.integers(min_value=1, max_value=TestSwitchArbitration.LENGTH),
+    rounds=st.integers(min_value=1, max_value=REQUEST_FLITS),
     data=st.data(),
 )
 def test_round_robin_fairness_property(num_vcs, rounds, data):
@@ -281,9 +287,7 @@ def test_round_robin_fairness_property(num_vcs, rounds, data):
     persistent = data.draw(
         st.lists(st.sampled_from(universe), min_size=1, max_size=len(universe), unique=True)
     )
-    arbitration = TestSwitchArbitration()
-    router = arbitration.contended_router(persistent, num_vcs=num_vcs)
-    granted = arbitration.grants(router, rounds)
+    granted = local_grants(contended_router(persistent, num_vcs=num_vcs), rounds)
     assert all(grant in persistent for grant in granted)
     counts = {key: granted.count(key) for key in persistent}
     assert max(counts.values()) - min(counts.values()) <= 1
